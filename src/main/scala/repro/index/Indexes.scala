@@ -1,19 +1,7 @@
 package repro.index
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.nlp.{Sent, TreeOps}
-
-/** One fully-annotated token row — the flattened join of the parsed text
-  * with all per-token index metadata (the paper's W table plus the POS /
-  * parse-label node ids that key into the hierarchy indices).
-  */
-final case class TokenRow(
-    doc: Long, sid: Long, tid: Int,
-    word: String, pos: String, label: String, head: Int,
-    etype: String, eid: Int,
-    lo: Int, hi: Int, depth: Int,
-    plPath: String, posPath: String)
 
 /** A node of a hierarchy index (compressed dataguide, §3). Identified by
   * its unique root path; `id` is deterministic (rank of the sorted path).
@@ -22,14 +10,20 @@ final case class HierNode(id: Int, path: String, label: String, depth: Int)
 
 /** KOKO's multi-index over a parsed corpus (§3 + §6.2.1):
   *
-  *  - `word`     — W(word, x, y, u, v, d, plId, posId)
-  *  - `entity`   — E(entity, etype, x, u, v)
+  *  - `postings` — W and the entity index packed into driver-side arrays
+  *    keyed by word, `plId`, `posId` and entity type ([[PostingIndex]]);
+  *    DPLI reads only these
+  *  - `word`     — W(word, x, y, u, v, d, plId, posId) as a DataFrame
+  *  - `entity`   — E(entity, etype, x, u, v) as a DataFrame
   *  - `plNodes`/`posNodes` — the hierarchy-index dataguides (driver-side;
   *    merging identical nodes removes >99% of tree nodes, so these are
   *    tiny by construction — verified in tests)
   *  - `plClosure`/`posClosure` — the Closure-Table representation the
   *    paper stores in PostgreSQL: (id, label, depth, aid, alabel, adepth)
   *  - `sentences`— the parsed-text store (LoadArticle reads from here)
+  *
+  * `tokens`, `word`, `entity` and the closure tables are not cached: no
+  * query reads them; they serve the index-size comparison and the tests.
   */
 object Indexes {
 
@@ -41,24 +35,13 @@ object Indexes {
       plNodes: Seq[HierNode],
       posNodes: Seq[HierNode],
       plClosure: DataFrame,
-      posClosure: DataFrame) {
+      posClosure: DataFrame,
+      postings: PostingIndex) {
 
-    def spark: SparkSession = tokens.sparkSession
+    def spark: SparkSession = sentences.sparkSession
 
     /** Release cached data (between bench scales). */
-    def unpersist(): Unit = {
-      sentences.unpersist(); tokens.unpersist(); word.unpersist(); entity.unpersist()
-    }
-  }
-
-  /** Flatten sentences to annotated token rows (pure per sentence). */
-  def tokenRows(s: Sent): Seq[TokenRow] = {
-    val m = TreeOps.meta(s.toks)
-    s.toks.map { t =>
-      TokenRow(s.doc, s.sid, t.tid, t.word, t.pos, t.label, t.head, t.etype,
-        t.eid, m.lo(t.tid), m.hi(t.tid), m.depth(t.tid),
-        m.plPath(t.tid), m.posPath(t.tid))
-    }
+    def unpersist(): Unit = sentences.unpersist()
   }
 
   private def dataguide(paths: Seq[String]): Seq[HierNode] = {
@@ -90,45 +73,43 @@ object Indexes {
   }
 
   /** Build all indices. The corpus is materialized (cached) because index
-    * construction and query evaluation both scan it.
+    * construction and query evaluation both scan it. One pass over it
+    * packs every partition's postings; the driver then derives both
+    * dataguides from the packed paths and merges the partitions into the
+    * [[PostingIndex]].
     */
   def build(spark: SparkSession, sents: Dataset[Sent]): Built = {
     import spark.implicits._
     val sentences = sents.cache()
-    val withPaths = sentences.flatMap(tokenRows _).cache()
+    val parts = sentences.rdd.mapPartitions(it => Iterator(PostingIndex.pack(it))).collect().toSeq
 
-    val plPaths = withPaths.select($"plPath").distinct().as[String].collect().toSeq
-    val posPaths = withPaths.select($"posPath").distinct().as[String].collect().toSeq
-    val plNodes = dataguide(plPaths)
-    val posNodes = dataguide(posPaths)
+    val plNodes = dataguide(parts.flatMap(_.plPaths).distinct)
+    val posNodes = dataguide(parts.flatMap(_.posPaths).distinct)
     val plIdMap = plNodes.map(n => n.path -> n.id).toMap
     val posIdMap = posNodes.map(n => n.path -> n.id).toMap
+    val postings = PostingIndex.merge(parts, plIdMap, posIdMap)
+
     val bPl = spark.sparkContext.broadcast(plIdMap)
     val bPos = spark.sparkContext.broadcast(posIdMap)
-
-    val tokens = withPaths
-      .map { r =>
-        (r.doc, r.sid, r.tid, r.word, r.pos, r.label, r.head, r.etype, r.eid,
-         r.lo, r.hi, r.depth, bPl.value(r.plPath), bPos.value(r.posPath))
+    val tokens = sentences
+      .flatMap { s =>
+        val m = TreeOps.meta(s.toks)
+        s.toks.map { t =>
+          (s.doc, s.sid, t.tid, t.word, t.pos, t.label, t.head, t.etype, t.eid,
+           m.lo(t.tid), m.hi(t.tid), m.depth(t.tid),
+           bPl.value(m.plPath(t.tid)), bPos.value(m.posPath(t.tid)))
+        }
       }
       .toDF("doc", "sid", "tid", "word", "pos", "label", "head", "etype",
         "eid", "lo", "hi", "depth", "plId", "posId")
-      .cache()
 
     val word = tokens.select("word", "doc", "sid", "tid", "lo", "hi", "depth", "plId", "posId")
 
-    val entity = tokens
-      .filter($"eid" >= 0)
-      .groupBy($"doc", $"sid", $"eid", $"etype")
-      .agg(
-        min($"tid").as("lo"),
-        max($"tid").as("hi"),
-        array_join(transform(array_sort(collect_list(struct($"tid", $"word"))),
-          x => x.getField("word")), " ").as("entity"))
-      .select("entity", "etype", "doc", "sid", "lo", "hi")
-      .cache()
+    val entity = sentences
+      .flatMap(s => TreeOps.entityMentions(s).map(m => (m.text, m.etype, m.doc, m.sid, m.lo, m.hi)))
+      .toDF("entity", "etype", "doc", "sid", "lo", "hi")
 
     Built(sentences, tokens, word, entity, plNodes, posNodes,
-      closureDf(spark, plNodes), closureDf(spark, posNodes))
+      closureDf(spark, plNodes), closureDf(spark, posNodes), postings)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.index.Indexes
@@ -18,8 +17,10 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
     Normalizer.normalize(KokoParser.parse(
       s"""extract x:Str from f if ( /ROOT:{ x = $src } )""")).nodeDefs.head.path
 
-  private def sids(df: org.apache.spark.sql.DataFrame): Set[(Long, Int)] =
-    df.select("sid", "tid").collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+  private def sidTids(b: Indexes.Built, rows: Array[Int]): Seq[(Long, Int)] =
+    rows.toSeq.map(r => (b.postings.sid(r), b.postings.tid(r)))
+
+  private def sids(rows: Array[Int]): Set[(Long, Int)] = sidTids(built, rows).toSet
 
   test("Example 4.4: word-path join of ate//delicious with depth gap 2") {
     val d = PathDecomposer.decompose(path("""//"ate"/*//"delicious""""))
@@ -30,8 +31,9 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
   test("oracle: the word-path join equals the equivalent DuckDB join") {
     val d = PathDecomposer.decompose(path("""//"ate"/*//"delicious""""))
     val q = Dpli.lookupWordPath(built, d.words).get
+    import spark.implicits._
     Oracle.assertEquivalent(
-      q.select("sid", "tid"),
+      sidTids(built, q).toDF("sid", "tid"),
       """SELECT b.sid AS sid, b.tid AS tid FROM toks a JOIN toks b
         |ON a.sid = b.sid AND a.word = 'ate' AND b.word = 'delicious'
         |AND CAST(a.lo AS INT) <= CAST(b.lo AS INT)
@@ -71,7 +73,7 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
 
   test("nonexistent path yields an empty posting list (§4.2.2 Discussion)") {
     val res = Dpli.lookup(built, PathDecomposer.decompose(path("//xcomp")))
-    assert(res.count() == 0)
+    assert(res.isEmpty)
   }
 
   test("DPLI is complete: bindings contain every true match (random corpus)") {
@@ -83,7 +85,7 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
       """//"born"""", """//verb//*[@pos="num"]""")
     paths.foreach { ps =>
       val p = path(ps)
-      val viaIndex = sids(Dpli.lookup(b, PathDecomposer.decompose(p)))
+      val viaIndex = sidTids(b, Dpli.lookup(b, PathDecomposer.decompose(p))).toSet
       val truth = sents.flatMap(s => PathMatcher.candidates(p, s).map(t => (s.sid, t))).toSet
       assert(truth.subsetOf(viaIndex), s"path $ps: missing ${truth.diff(viaIndex).take(5)}")
     }
@@ -96,7 +98,7 @@ class DpliSpec extends AnyFunSuite with SparkSpec {
     val b = Indexes.build(spark, corpus)
     val sents = corpus.collect().toSeq.map(s => s.sid -> s).toMap
     val p = path("""//verb//pobj""")
-    val viaIndex = sids(Dpli.lookup(b, PathDecomposer.decompose(p)))
+    val viaIndex = sidTids(b, Dpli.lookup(b, PathDecomposer.decompose(p))).toSet
     viaIndex.foreach { case (sid, tid) =>
       // every validated candidate is a true match; no false negatives
       val s = sents(sid)

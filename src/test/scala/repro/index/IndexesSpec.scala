@@ -3,7 +3,7 @@ package repro.index
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.nlp.CorpusGen
+import repro.nlp.{CorpusGen, Sent}
 
 class IndexesSpec extends AnyFunSuite with SparkSpec {
   import Fixtures._
@@ -131,5 +131,63 @@ class IndexesSpec extends AnyFunSuite with SparkSpec {
     val maxPos = built.posNodes.size
     val bad = built.tokens.filter(col("plId") >= maxPl || col("posId") >= maxPos || col("plId") < 0).count()
     assert(bad == 0)
+  }
+
+  test("packed postings hold exactly the W rows, in (sid, tid) order, across partitions") {
+    import spark.implicits._
+    val corpus = CorpusGen.corpus(spark, "wiki", 40, seed = 26).repartition(3)
+    val b = Indexes.build(spark, corpus)
+    val p = b.postings
+    val w = b.word.collect()
+    val rows = w.map(r => (r.getAs[Long]("sid"), r.getAs[Int]("tid"), r.getAs[Int]("lo"),
+      r.getAs[Int]("hi"), r.getAs[Int]("depth"), r.getAs[Int]("plId"), r.getAs[Int]("posId")))
+    val packed = (0 until p.nRows).map(r =>
+      (p.sid(r), p.tid(r), p.lo(r), p.hi(r), p.depth(r), p.plId(r), p.posId(r)))
+    assert(packed == rows.sortBy(r => (r._1, r._2)).toSeq)
+    assert(p.nSentences == corpus.count())
+    w.groupBy(_.getAs[String]("word")).foreach { case (word, ws) =>
+      val want = ws.map(r => (r.getAs[Long]("sid"), r.getAs[Int]("tid"))).sorted.toSeq
+      assert(p.word(word).toSeq.map(r => (p.sid(r), p.tid(r))) == want, word)
+    }
+    val ents = b.entity.select("etype", "sid").as[(String, Long)].collect()
+    // "Entity" stands for any type, as in the query language
+    ents.map(_._1).distinct.filter(_ != "Entity").foreach { e =>
+      assert(p.entity(e).toSeq == ents.filter(_._1 == e).map(_._2).distinct.sorted.toSeq, e)
+    }
+    assert(p.entity("Entity").toSeq == ents.map(_._2).distinct.sorted.toSeq)
+    b.unpersist()
+  }
+
+  test("unpersist releases every dataset the build cached") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    def cached = sc.getRDDStorageInfo.map(_.id).toSet
+    val before = cached
+    val b = Indexes.build(spark, CorpusGen.corpus(spark, "wiki", 30, seed = 27))
+    b.word.count()
+    b.entity.count()
+    assert(cached.diff(before).nonEmpty)
+    b.unpersist()
+    assert(cached.subsetOf(before), s"left cached: ${sc.getRDDStorageInfo.filterNot(i => before(i.id)).toSeq}")
+  }
+
+  private def buildFails(sents: Seq[Sent]): String = {
+    import spark.implicits._
+    val ds = spark.createDataset(sents)
+    try intercept[IllegalArgumentException](Indexes.build(spark, ds)).getMessage
+    finally ds.unpersist()
+  }
+
+  test("build rejects a document with more than 64 sentences (sids would collide)") {
+    val doc = (0 until 65).map(k => Sent(3, CorpusGen.gsid(3, k), fig1.toks))
+    val msg = buildFails(doc)
+    assert(msg.contains(s"sid ${CorpusGen.gsid(3, 64)} of document 3") && msg.contains("at most 64 sentences"), msg)
+  }
+
+  test("build rejects a sid that disagrees with its document, or repeats") {
+    val msg = buildFails(Seq(fig1, Sent(2, 5, anna.toks)))
+    assert(msg.contains("sid 5 of document 2"), msg)
+    val dup = buildFails(Seq(fig1, Sent(0, 0, anna.toks)))
+    assert(dup.contains("sid 0 occurs more than once"), dup)
   }
 }
